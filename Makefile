@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload writer-matrix writer-matrix-short multiproc-smoke elastic-smoke
+.PHONY: all build test vet vet-fast race bench fuzz-smoke chaos-hedge overload writer-matrix writer-matrix-short multiproc-smoke elastic-smoke perfbench-selftest
 
 all: build vet test
 
@@ -62,6 +62,14 @@ chaos-hedge:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
+
+# perfbench-selftest: the shuffle benchmark's own tests (perfbench is a
+# separate module). They run every workload at tiny size with output
+# verification — a Terasort job must come back globally sorted with the
+# input's record multiset — so a writer or merge change that corrupts job
+# output fails here, not only in a full benchmark run.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # writer-matrix: the map-side writer crossover measurement — seal MB/s
 # for every strategy over the (partition count × record size × combiner)

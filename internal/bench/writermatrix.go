@@ -46,7 +46,8 @@ func DefaultWriterMatrixConfig() WriterMatrixConfig {
 
 // ShortWriterMatrixConfig is the CI smoke grid: each strategy's decisive
 // home cell at 4 partitions — bypass at 64 B records without a combiner,
-// sort-merge at 64 B with one, sort-spill at 4 KiB — with small volumes.
+// sort-merge at 64 B with one, sort-spill at 4 KiB with one — with small
+// volumes.
 func ShortWriterMatrixConfig() WriterMatrixConfig {
 	return WriterMatrixConfig{
 		Partitions:  []int{4},

@@ -46,9 +46,11 @@ type Job struct {
 	// before the MOF is written, shrinking intermediate data (this is why
 	// WordCount and Grep shuffle little data in the paper's Fig. 12).
 	Combine ReduceFunc
-	// SortMemory is the map-side sort buffer budget in bytes (Hadoop's
-	// io.sort.mb): map outputs beyond it spill sorted runs to local disk,
-	// merged into the final MOF at task end. Zero means unbounded.
+	// SortMemory is the map-side buffer budget in bytes (Hadoop's
+	// io.sort.mb): map outputs beyond it spill to local disk — sorted
+	// runs merged into the final MOF at task end for the sort writers,
+	// per-partition files read back at seal for the bypass writer. Zero
+	// means unbounded.
 	SortMemory int64
 	// Writer pins the map-side shuffle writer strategy. The default,
 	// WriterAuto, lets SelectWriter choose from the job shape (reducer

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -21,12 +22,12 @@ type sortEntry struct {
 
 // sortMergeWriter is the high-partition-count sort writer. Where
 // sortSpillWriter keeps one record slice per partition (two allocations
-// per record, one reflection-based sort per partition), this writer
-// appends every key/value into one shared byte arena and keeps a compact
-// entry per record; a single stable sort over (partition, key) orders the
-// entire buffer, and a sequential walk writes it out partition by
-// partition. Run spills and the final multi-way run merge reuse the same
-// partitioned-MOF machinery as the spill writer.
+// per record, one sort per partition), this writer appends every
+// key/value into one shared byte arena and keeps a compact entry per
+// record; a single sort over (partition, key) orders the entire buffer,
+// and a sequential walk writes it out partition by partition. Run
+// spills and the final multi-way run merge reuse the same partitioned-MOF
+// machinery as the spill writer.
 type sortMergeWriter struct {
 	cfg     WriterConfig
 	arena   []byte
@@ -69,18 +70,20 @@ func (w *sortMergeWriter) Add(partition int, key, value []byte) error {
 	return nil
 }
 
-// sortEntries orders the buffer by (partition, key). The sort must be
+// sortEntries orders the buffer by (partition, key). The order must be
 // stable: records with equal keys keep emit order, matching what the
-// other writers (and the reduce-side normalization) produce.
+// other writers (and the reduce-side normalization) produce. Arena
+// offsets grow in emit order, so breaking ties on the offset makes the
+// order total and lets the faster unstable sort produce it.
 func (w *sortMergeWriter) sortEntries() {
-	slices.SortStableFunc(w.entries, func(a, b sortEntry) int {
-		if a.part != b.part {
-			if a.part < b.part {
-				return -1
-			}
-			return 1
+	slices.SortFunc(w.entries, func(a, b sortEntry) int {
+		if c := cmp.Compare(a.part, b.part); c != 0 {
+			return c
 		}
-		return bytes.Compare(w.key(a), w.key(b))
+		if c := bytes.Compare(w.key(a), w.key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.off, b.off)
 	})
 }
 

@@ -24,12 +24,14 @@ const (
 	// run before it hits disk.
 	WriterSortSpill WriterStrategy = "sort-spill"
 	// WriterBypass is the hash-style writer modeled on Spark's
-	// BypassMergeSortShuffleWriter: each record streams straight into a
-	// buffered per-partition file with no sorting or buffering of the
-	// record set, and sealing concatenates the partition files into the
-	// servable MOF in one sequential pass. Ineligible when a combiner is
-	// set (combining needs sorted groups) and intended for modest
-	// partition counts (one open file and buffer per partition).
+	// BypassMergeSortShuffleWriter: each record is encoded straight into
+	// its partition's in-memory buffer with no sorting, and sealing
+	// writes the buffers into the servable MOF in one sequential pass.
+	// Past SortMemory the buffers spill to per-partition files, which
+	// the seal reads back ahead of each buffer. Ineligible when a
+	// combiner is set (combining needs sorted groups) and intended for
+	// modest partition counts (one buffer, and once spilled one open
+	// file, per partition).
 	WriterBypass WriterStrategy = "bypass"
 	// WriterSortMerge is the shared-arena sort writer: every record lands
 	// in one shared byte arena with a compact entry, and a single stable
@@ -73,8 +75,12 @@ type ShuffleWriter interface {
 type WriterConfig struct {
 	// Partitions is the job's reducer count.
 	Partitions int
-	// SortMemory bounds buffered bytes before the sort writers spill a
-	// run (0 = unbounded). The bypass writer streams and ignores it.
+	// SortMemory bounds buffered bytes before a writer spills
+	// (0 = unbounded): the sort writers spill a sorted run of key and
+	// value bytes; the bypass writer appends its stored (encoded,
+	// possibly compressed) partition buffers to per-partition files.
+	// With compression on, the bypass writer's flate encoders hold up to
+	// one 64 KiB block of input per partition outside the budget.
 	SortMemory int64
 	// Dir is the local scratch directory for runs and partition files.
 	Dir string

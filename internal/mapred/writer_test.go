@@ -340,3 +340,147 @@ func TestLastWriterDecision(t *testing.T) {
 		t.Fatalf("3 reducers without combiner selected %q", d.Strategy)
 	}
 }
+
+// sealBypassFiles runs recs through a bypass writer and returns the
+// sealed data and index bytes plus the writer's spill count.
+func sealBypassFiles(t *testing.T, recs []mof.Record, partitions int, compress bool, sortMem int64) (data, index []byte, spills int64) {
+	t.Helper()
+	before := writerInstrumentsFor[WriterBypass].spills.Load()
+	final := sealToMOF(t, WriterBypass, recs, partitions, compress, sortMem)
+	spills = writerInstrumentsFor[WriterBypass].spills.Load() - before
+	data, err := os.ReadFile(final.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err = os.ReadFile(final.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, index, spills
+}
+
+// TestBypassSpillByteIdentical spills the bypass writer mid-partition (a
+// budget far below one partition's bytes) and requires the sealed MOF to
+// be byte-identical to the unbounded, never-spilling run: a segment's
+// file prefix plus in-memory tail is the same byte stream either way.
+func TestBypassSpillByteIdentical(t *testing.T) {
+	cases := []struct {
+		compress   bool
+		partitions int
+		recs       []mof.Record
+	}{
+		{false, 5, testRecords(400, 5, 24)},
+		// flate emits a block per 64 KiB of input, so the compressed
+		// case needs several blocks per partition to spill mid-segment.
+		{true, 2, testRecords(3000, 2, 200)},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("compress=%v", tc.compress), func(t *testing.T) {
+			wantData, wantIndex, spills := sealBypassFiles(t, tc.recs, tc.partitions, tc.compress, 0)
+			if spills != 0 {
+				t.Fatalf("unbounded writer spilled %d times", spills)
+			}
+			gotData, gotIndex, spills := sealBypassFiles(t, tc.recs, tc.partitions, tc.compress, 300)
+			if spills < 2*int64(tc.partitions) {
+				t.Fatalf("tiny budget spilled %d times; the test needs spills mid-partition", spills)
+			}
+			if !bytes.Equal(gotData, wantData) {
+				t.Fatalf("spilled MOF data differs (%d vs %d bytes)", len(gotData), len(wantData))
+			}
+			if !bytes.Equal(gotIndex, wantIndex) {
+				t.Fatal("spilled MOF index differs")
+			}
+		})
+	}
+}
+
+// TestBypassNoSpillCreatesOnlyMOF checks the unbounded bypass path
+// touches the filesystem only to seal: no scratch file before Seal, and
+// exactly the data and index after it.
+func TestBypassNoSpillCreatesOnlyMOF(t *testing.T) {
+	const partitions = 4
+	dir := t.TempDir()
+	w, err := NewShuffleWriter(WriterBypass, WriterConfig{Partitions: partitions, Dir: dir, TaskID: "t0-a0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range testRecords(300, partitions, 64) {
+		if err := w.Add(HashPartitioner(r.Key, partitions), r.Key, r.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("%d files in the scratch dir before Seal (first: %s)", len(ents), ents[0].Name())
+	}
+	final := MOFPaths{Data: filepath.Join(dir, "final.data"), Index: filepath.Join(dir, "final.index")}
+	if err := w.Seal(final); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, ",") != "final.data,final.index" {
+		t.Fatalf("after Seal the dir holds %v, want only the data and index", names)
+	}
+}
+
+// TestBypassBufferedWithinBudget checks the memory bound: after every
+// Add the bypass writer holds at most SortMemory plus the one record it
+// just encoded.
+func TestBypassBufferedWithinBudget(t *testing.T) {
+	const partitions, budget = 4, 1000
+	w, err := NewShuffleWriter(WriterBypass, WriterConfig{
+		Partitions: partitions, SortMemory: budget, Dir: t.TempDir(), TaskID: "t0-a0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := w.(*bypassWriter)
+	peak := int64(0)
+	for _, r := range testRecords(500, partitions, 40) {
+		if err := w.Add(HashPartitioner(r.Key, partitions), r.Key, r.Value); err != nil {
+			t.Fatal(err)
+		}
+		if limit := int64(budget + r.Size()); bw.buffered > limit {
+			t.Fatalf("writer buffers %d bytes, budget plus one record is %d", bw.buffered, limit)
+		}
+		peak = max(peak, bw.buffered)
+	}
+	if peak < budget/2 {
+		t.Fatalf("buffer never filled (peak %d bytes): the bound was not exercised", peak)
+	}
+	w.Abort()
+}
+
+// TestBypassSpillCounters runs a bypass job under a tiny SortMemory and
+// requires its spills in both the job counters and the strategy's spill
+// metric.
+func TestBypassSpillCounters(t *testing.T) {
+	fs, c := testCluster(t, 2, 4096)
+	putFile(t, fs, "/in", strings.Repeat("cherry apple banana apple date\n", 200))
+	job := wordCountJob("/in", "/out", 3)
+	job.Combine = nil
+	job.Writer = WriterBypass
+	job.SortMemory = 256
+	before := writerInstrumentsFor[WriterBypass].spills.Load()
+	res, err := c.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := writerInstrumentsFor[WriterBypass].spills.Load() - before
+	if res.Counters.MapSpills == 0 || res.Counters.MapSpilledBytes == 0 {
+		t.Fatalf("bypass spills missing from job counters: %+v", res.Counters)
+	}
+	if metric < res.Counters.MapSpills {
+		t.Fatalf("spill metric rose by %d, job counted %d spills", metric, res.Counters.MapSpills)
+	}
+	counts := parseCounts(t, catOutputs(t, fs, res))
+	if counts["apple"] != 400 || counts["date"] != 200 {
+		t.Fatalf("wrong counts: %v", counts)
+	}
+}

@@ -7,30 +7,30 @@ import (
 
 // Selector thresholds. The values are measured, not guessed: `make
 // writer-matrix` benchmarks seal throughput over the (partition count ×
-// record size × combiner) grid on this machine and EXPERIMENTS.md
-// ("Writer crossover matrix") records the run these defaults were read
-// from.
+// record size × combiner) grid and EXPERIMENTS.md ("Writer crossover
+// matrix") records the run these defaults were read from.
 const (
 	// DefaultBypassMaxPartitions is the largest reducer count at which
-	// the bypass hash writer is chosen. It holds an open file and a
-	// 32 KiB buffer per partition, so its memory cost grows linearly with
-	// the reducer count (Spark ships the same guard as
-	// spark.shuffle.sort.bypassMergeThreshold = 200). Measured, bypass
-	// still won small-record cells at 256 partitions, but its margin over
-	// the sort writers shrinks from ~10x at 4 partitions to ~2x at 256.
+	// the bypass hash writer is chosen. It holds at least one 32 KiB
+	// buffer chunk per non-empty partition, a ~1.2 MB flate encoder per
+	// partition when compressing, and once it spills an open file per
+	// partition, so its memory grows linearly with the reducer count
+	// (Spark ships the same guard as
+	// spark.shuffle.sort.bypassMergeThreshold = 200). The cap guards that
+	// memory, not throughput: measured, bypass wins every no-combine cell
+	// at 256 partitions too.
 	DefaultBypassMaxPartitions = 64
 	// DefaultBypassMaxRecordBytes is the largest expected record size at
 	// which bypass is chosen. Record-dense streams are where skipping the
-	// sort pays (measured 9.4x at 64 B records); at 4 KiB records the
-	// sort is a few comparisons per kilobyte and bypass's double write —
-	// once into the partition file, once in the concatenation pass —
-	// loses to the sort buffer. The measured crossover sits between 2 KiB
-	// (bypass ahead) and 4 KiB (sort ahead).
-	DefaultBypassMaxRecordBytes = 2048
+	// sort pays most (measured ~10x at 64 B records). With the partition
+	// buffers in memory bypass copies each record once before the MOF
+	// write, and it still leads the sort buffer at 4 KiB records, the
+	// largest size measured (1.1–1.5x).
+	DefaultBypassMaxRecordBytes = 4096
 	// DefaultSortMergeMaxRecordBytes bounds the shared-arena writer's
 	// measured niche: combining jobs with small records, where the
 	// classic buffer's two allocations per record dominate and the arena
-	// wins (63 vs 38 MB/s at 64 B records, 4 partitions). By 512 B
+	// wins (69 vs 55 MB/s at 64 B records, 4 partitions). By 512 B
 	// records the copy bandwidth dominates allocation and sort-spill is
 	// ahead again.
 	DefaultSortMergeMaxRecordBytes = 128
@@ -91,7 +91,7 @@ func SelectWriter(job *Job) WriterDecision {
 	case d.Partitions <= DefaultBypassMaxPartitions &&
 		(d.RecordBytes == 0 || d.RecordBytes <= DefaultBypassMaxRecordBytes):
 		d.Strategy = WriterBypass
-		d.Reason = fmt.Sprintf("no combiner, %d partitions <= %d: stream per-partition files, skip the sort",
+		d.Reason = fmt.Sprintf("no combiner, %d partitions <= %d: buffer per partition, skip the sort",
 			d.Partitions, DefaultBypassMaxPartitions)
 	default:
 		d.Strategy = WriterSortSpill

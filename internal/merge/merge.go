@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/mof"
 )
@@ -211,7 +211,7 @@ func GroupByKey(it *Iterator, fn func(key []byte, values [][]byte) error) error 
 
 // SortRecords sorts records by key in place (stable for equal keys).
 func SortRecords(recs []mof.Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		return bytes.Compare(recs[i].Key, recs[j].Key) < 0
+	slices.SortStableFunc(recs, func(a, b mof.Record) int {
+		return bytes.Compare(a.Key, b.Key)
 	})
 }

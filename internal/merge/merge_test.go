@@ -204,6 +204,24 @@ func TestSortRecords(t *testing.T) {
 	}
 }
 
+// TestSortRecordsStableAtScale pins stability past the sizes a small-input
+// insertion sort would hide: thousands of records over a few keys must
+// keep their arrival order within each key.
+func TestSortRecordsStableAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	recs := make([]mof.Record, 5000)
+	for i := range recs {
+		recs[i] = rec(fmt.Sprintf("k%02d", rng.Intn(16)), fmt.Sprintf("%06d", i))
+	}
+	SortRecords(recs)
+	sortedCheck(t, recs)
+	for i := 1; i < len(recs); i++ {
+		if bytes.Equal(recs[i-1].Key, recs[i].Key) && string(recs[i-1].Value) > string(recs[i].Value) {
+			t.Fatalf("equal keys %q reordered: arrival %s before %s", recs[i].Key, recs[i-1].Value, recs[i].Value)
+		}
+	}
+}
+
 func makeSortedSegments(rng *rand.Rand, nSegs, perSeg int) ([][]byte, []string) {
 	var segs [][]byte
 	var allKeys []string

@@ -8,17 +8,21 @@ import (
 	"os"
 )
 
-// ConcatPart describes one per-partition file feeding a MOF
-// concatenation: the bypass hash writer streams each partition's records
-// into its own file, recording the stats below as it writes, and the
-// concatenation turns those files into one servable MOF + index without
-// re-encoding a single record.
+// ConcatPart describes one partition feeding a MOF concatenation: the
+// bypass hash writer encodes each partition's records into its own
+// buffer, spilling the buffer to a per-partition file only under memory
+// pressure, and records the stats below as it writes; the concatenation
+// turns those file prefixes and in-memory tails into one servable MOF +
+// index without re-encoding a single record.
 type ConcatPart struct {
-	// Path is the partition file holding the stored segment bytes.
-	// Empty means the partition received no records and contributes an
-	// empty segment.
+	// Path is the partition file holding the first stored segment bytes.
+	// Empty means the segment has no file prefix.
 	Path string
-	// Length is the stored byte length the file must have (compressed
+	// Tail holds the stored bytes that follow the file's (all of them
+	// when Path is empty), in order, in one or more buffers. A partition
+	// with neither contributes an empty segment.
+	Tail [][]byte
+	// Length is the stored byte length of file plus tail (compressed
 	// length when the segment is compressed).
 	Length int64
 	// RawLength is the uncompressed encoded length; equals Length for
@@ -26,17 +30,17 @@ type ConcatPart struct {
 	RawLength int64
 	// Records is the number of key/value pairs in the segment.
 	Records int64
-	// Checksum is the CRC-32 (IEEE) of the stored bytes.
+	// Checksum is the CRC-32 (IEEE) of the stored bytes, file then tail.
 	Checksum uint32
 }
 
-// ConcatMOF concatenates per-partition files into one MOF data file in a
-// single sequential pass and writes the matching index. parts is indexed
-// by reduce partition. Every partition file's on-disk size must match its
-// declared Length and its bytes must match its declared Checksum — a
-// truncated, oversized, or corrupt partition file fails the whole
-// concatenation cleanly (the partial data file is removed) rather than
-// producing a MOF whose index lies about its segments.
+// ConcatMOF concatenates per-partition file prefixes and in-memory tails
+// into one MOF data file in a single sequential pass and writes the
+// matching index. parts is indexed by reduce partition. Every partition's
+// file plus tail must hold exactly its declared Length and match its
+// declared Checksum — a truncated, oversized, or corrupt partition fails
+// the whole concatenation cleanly (the partial data file is removed)
+// rather than producing a MOF whose index lies about its segments.
 func ConcatMOF(dataPath, indexPath string, parts []ConcatPart) (err error) {
 	if len(parts) == 0 {
 		return fmt.Errorf("mof: concat needs at least one partition")
@@ -55,36 +59,44 @@ func ConcatMOF(dataPath, indexPath string, parts []ConcatPart) (err error) {
 	bw := bufio.NewWriterSize(f, 256<<10)
 	entries := make([]IndexEntry, 0, len(parts))
 	var offset int64
-	buf := make([]byte, 128<<10)
+	var buf []byte // file copy buffer, allocated for the first file prefix
 	for p, part := range parts {
 		if err := validatePart(p, part); err != nil {
 			return err
 		}
-		entry := IndexEntry{
-			Offset:    offset,
-			Length:    part.Length,
-			RawLength: part.RawLength,
-			Records:   part.Records,
-			Checksum:  part.Checksum,
+		var n int64
+		var crc uint32
+		if part.Path != "" {
+			if buf == nil {
+				buf = make([]byte, 128<<10)
+			}
+			n, crc, err = appendPart(bw, part.Path, buf)
+			if err != nil {
+				return fmt.Errorf("mof: concat partition %d: %w", p, err)
+			}
 		}
-		if part.Path == "" {
-			entry.Checksum = crc32.ChecksumIEEE(nil)
-			entries = append(entries, entry)
-			continue
-		}
-		n, crc, err := appendPart(bw, part.Path, buf)
-		if err != nil {
-			return fmt.Errorf("mof: concat partition %d: %w", p, err)
+		for _, b := range part.Tail {
+			if _, err := bw.Write(b); err != nil {
+				return fmt.Errorf("mof: concat partition %d: %w", p, err)
+			}
+			n += int64(len(b))
+			crc = crc32.Update(crc, crc32.IEEETable, b)
 		}
 		if n != part.Length {
-			return fmt.Errorf("mof: concat partition %d: file %s holds %d bytes, declared %d",
+			return fmt.Errorf("mof: concat partition %d: file %q plus tail hold %d bytes, declared %d",
 				p, part.Path, n, part.Length)
 		}
 		if crc != part.Checksum {
 			return fmt.Errorf("mof: concat partition %d: %w", p, ErrChecksum)
 		}
+		entries = append(entries, IndexEntry{
+			Offset:    offset,
+			Length:    part.Length,
+			RawLength: part.RawLength,
+			Records:   part.Records,
+			Checksum:  part.Checksum,
+		})
 		offset += n
-		entries = append(entries, entry)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("mof: concat flush: %w", err)
@@ -103,15 +115,10 @@ func ConcatMOF(dataPath, indexPath string, parts []ConcatPart) (err error) {
 // validatePart rejects metadata that cannot describe a real segment.
 func validatePart(p int, part ConcatPart) error {
 	if part.Length < 0 || part.RawLength < 0 || part.Records < 0 {
-		return fmt.Errorf("mof: concat partition %d: negative size in %+v", p, part)
+		return fmt.Errorf("mof: concat partition %d: negative size (length %d, raw %d, records %d)",
+			p, part.Length, part.RawLength, part.Records)
 	}
-	if part.Path == "" {
-		if part.Length != 0 || part.RawLength != 0 || part.Records != 0 {
-			return fmt.Errorf("mof: concat partition %d: empty partition declares %d bytes", p, part.Length)
-		}
-		return nil
-	}
-	if part.Length == 0 && part.Records != 0 {
+	if part.Length == 0 && (part.RawLength != 0 || part.Records != 0) {
 		return fmt.Errorf("mof: concat partition %d: %d records in zero bytes", p, part.Records)
 	}
 	return nil

@@ -28,21 +28,55 @@ func writePartFile(t testing.TB, path string, recs []Record) ConcatPart {
 	}
 }
 
+// splitTail cuts b into two tail buffers.
+func splitTail(b []byte) [][]byte {
+	return [][]byte{b[:len(b)/2], b[len(b)/2:]}
+}
+
+// moveToTail keeps the first keep bytes of part's file and moves the
+// rest into its in-memory tail (all of it, and no file, when keep is 0).
+// The declared metadata covers file plus tail, so it stays unchanged.
+func moveToTail(t testing.TB, part ConcatPart, keep int) ConcatPart {
+	t.Helper()
+	body, err := os.ReadFile(part.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Tail = splitTail(body[keep:])
+	if keep == 0 {
+		if err := os.Remove(part.Path); err != nil {
+			t.Fatal(err)
+		}
+		part.Path = ""
+		return part
+	}
+	if err := os.WriteFile(part.Path, body[:keep], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
 func TestConcatMOFRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	partRecs := [][]Record{
 		{{Key: []byte("b"), Value: []byte("1")}, {Key: []byte("a"), Value: []byte("2")}},
 		nil, // empty partition
 		{{Key: []byte("zz"), Value: bytes.Repeat([]byte("v"), 300)}},
+		{{Key: []byte("t"), Value: []byte("tail only")}},
+		{{Key: []byte("s"), Value: []byte("split")}, {Key: []byte("s2"), Value: []byte("across")}},
 	}
 	parts := make([]ConcatPart, len(partRecs))
 	for p, recs := range partRecs {
 		if len(recs) == 0 {
-			parts[p] = ConcatPart{} // empty partition: no backing file
+			parts[p] = ConcatPart{} // empty partition: no file, no tail
 			continue
 		}
 		parts[p] = writePartFile(t, filepath.Join(dir, "p"+string(rune('0'+p))), recs)
 	}
+	// Partition 3 lives only in memory; partition 4 is split mid-record
+	// between its file prefix and its tail.
+	parts[3] = moveToTail(t, parts[3], 0)
+	parts[4] = moveToTail(t, parts[4], 3)
 	data := filepath.Join(dir, "final.data")
 	index := filepath.Join(dir, "final.index")
 	if err := ConcatMOF(data, index, parts); err != nil {
@@ -111,6 +145,37 @@ func TestConcatMOFRejectsBadParts(t *testing.T) {
 
 	emptyWithBytes := ConcatPart{Length: 4}
 
+	// A part split between a file prefix and an in-memory tail, then
+	// broken on either side of the split.
+	split := moveToTail(t, writePartFile(t, filepath.Join(dir, "split"), []Record{
+		{Key: []byte("k1"), Value: []byte("v1")}, {Key: []byte("k2"), Value: []byte("v2")},
+	}), 4)
+	prefix, err := os.ReadFile(split.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withPrefix := func(name string, body []byte) ConcatPart {
+		part := split
+		part.Path = filepath.Join(dir, name)
+		if err := os.WriteFile(part.Path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	withTail := func(tail []byte) ConcatPart {
+		part := split
+		part.Tail = splitTail(tail)
+		return part
+	}
+	flip := func(b []byte, i int) []byte {
+		b = append([]byte(nil), b...)
+		b[i] ^= 0x40
+		return b
+	}
+	tail := bytes.Join(split.Tail, nil)
+	missingPrefix := split
+	missingPrefix.Path = filepath.Join(dir, "no-such-prefix")
+
 	negative := good
 	negative.Records = -1
 
@@ -122,6 +187,18 @@ func TestConcatMOFRejectsBadParts(t *testing.T) {
 		"empty-with-bytes": {emptyWithBytes},
 		"negative":         {negative},
 		"no-partitions":    {},
+
+		"prefix-truncated": {withPrefix("prefix-trunc", prefix[:len(prefix)-1])},
+		"prefix-oversized": {withPrefix("prefix-over", append(append([]byte(nil), prefix...), 'x'))},
+		"prefix-corrupt":   {withPrefix("prefix-corrupt", flip(prefix, 1))},
+		"prefix-missing":   {missingPrefix},
+		"tail-truncated":   {withTail(tail[:len(tail)-1])},
+		"tail-oversized":   {withTail(append(append([]byte(nil), tail...), 'x'))},
+		"tail-corrupt":     {withTail(flip(tail, len(tail)-1))},
+		"tail-dropped":     {withTail(nil)},
+	}
+	if err := ConcatMOF(filepath.Join(dir, "split.data"), filepath.Join(dir, "split.index"), []ConcatPart{split}); err != nil {
+		t.Fatalf("intact split part rejected: %v", err)
 	}
 	for name, parts := range cases {
 		data := filepath.Join(dir, name+".data")
@@ -136,36 +213,45 @@ func TestConcatMOFRejectsBadParts(t *testing.T) {
 }
 
 // FuzzMOFIndexConcat drives the bypass writer's concatenation + index
-// build with adversarial partition contents and metadata skew: any input
-// must either concatenate into a MOF whose segments round-trip through
-// the real read path, or fail cleanly without leaving a data file.
+// build with adversarial partition contents, file/tail splits and
+// metadata skew: any input must either concatenate into a MOF whose
+// segments round-trip through the real read path, or fail cleanly
+// without leaving a data file.
 func FuzzMOFIndexConcat(f *testing.F) {
-	f.Add([]byte("\x01\x01kv"), []byte(""), 0, false)
-	f.Add([]byte("\x02\x02aabb"), []byte("\x01\x00z"), 1, true)
-	f.Add([]byte{}, []byte{0xff, 0xff, 0xff}, -3, false)
-	f.Fuzz(func(t *testing.T, seg0, seg1 []byte, skew int, dropFile bool) {
+	f.Add([]byte("\x01\x01kv"), []byte(""), uint16(0), uint16(0), 0, false)
+	f.Add([]byte("\x02\x02aabb"), []byte("\x01\x00z"), uint16(3), uint16(1), 1, true)
+	f.Add([]byte{}, []byte{0xff, 0xff, 0xff}, uint16(0), uint16(2), -3, false)
+	f.Add([]byte("\x01\x01kv\x01\x01kv"), []byte("\x01\x00z"), uint16(5), uint16(3), 0, true)
+	f.Fuzz(func(t *testing.T, seg0, seg1 []byte, cut0, cut1 uint16, skew int, dropFile bool) {
 		if len(seg0) > 1<<16 || len(seg1) > 1<<16 {
 			t.Skip("oversized fuzz input")
 		}
 		dir := t.TempDir()
-		mkPart := func(name string, body []byte) ConcatPart {
-			path := filepath.Join(dir, name)
-			if err := os.WriteFile(path, body, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return ConcatPart{
-				Path:      path,
+		// mkPart keeps the first cut bytes of body in a file (none when
+		// cut is 0) and the rest in two in-memory tail buffers.
+		mkPart := func(name string, body []byte, cut uint16) ConcatPart {
+			k := int(cut) % (len(body) + 1)
+			part := ConcatPart{
+				Tail:      splitTail(body[k:]),
 				Length:    int64(len(body)),
 				RawLength: int64(len(body)),
 				Records:   int64(countRecords(body)),
 				Checksum:  crc32.ChecksumIEEE(body),
 			}
+			if k > 0 {
+				part.Path = filepath.Join(dir, name)
+				if err := os.WriteFile(part.Path, body[:k], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return part
 		}
-		parts := []ConcatPart{mkPart("p0", seg0), mkPart("p1", seg1)}
+		parts := []ConcatPart{mkPart("p0", seg0, cut0), mkPart("p1", seg1, cut1)}
 		// Skew the declared length of partition 0 (truncation/oversize
-		// claims) and optionally delete partition 1's backing file.
+		// claims) and optionally delete partition 1's file prefix.
 		parts[0].Length += int64(skew)
-		if dropFile {
+		dropped := dropFile && parts[1].Path != ""
+		if dropped {
 			if err := os.Remove(parts[1].Path); err != nil {
 				t.Fatal(err)
 			}
@@ -179,8 +265,8 @@ func FuzzMOFIndexConcat(f *testing.F) {
 			}
 			return
 		}
-		if skew != 0 || dropFile {
-			t.Fatalf("ConcatMOF accepted skew=%d dropFile=%v", skew, dropFile)
+		if skew != 0 || dropped {
+			t.Fatalf("ConcatMOF accepted skew=%d dropped=%v", skew, dropped)
 		}
 		// Success: every segment must round-trip through the read path.
 		ix, err := ReadIndex(index)
